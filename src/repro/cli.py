@@ -30,8 +30,7 @@ published artefacts of the paper:
     streaming rank pipeline: every rank folds its blocks into aggregates,
     the aggregates are allreduced, and the result is validated on the fly
     against the closed-form factor statistics — no full edge list is ever
-    held in memory.  ``--async-io`` swaps in the threaded
-    :class:`repro.store.AsyncShardSink` so shard writes overlap generation.
+    held in memory.
     ``--payload triangles,trussness`` widens the spilled shards with exact
     per-edge ground-truth columns (evaluated per block through the factored
     statistics), recorded by name in the manifest.
@@ -132,7 +131,6 @@ from repro.serve.shaping import (
 )
 from repro.store import (
     KNOWN_PAYLOAD_COLUMNS,
-    AsyncShardSink,
     PayloadEvaluator,
     ShardStore,
     compact_shards,
@@ -236,10 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "against the closed-form factor statistics")
     stream.add_argument("--processes", action="store_true",
                         help="with --ranks: fan the ranks out on a process pool")
-    stream.add_argument("--async-io", action="store_true",
-                        help="with --ranks: overlap shard writes with block "
-                             "generation via a threaded writer sink "
-                             "(in-process ranks only)")
     stream.add_argument("--payload", type=str, default=None, metavar="COLS",
                         help="comma-separated per-edge ground-truth columns "
                              "to carry in the spilled shards (from: "
@@ -499,12 +493,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     payload_columns = _parse_payload_columns(args.payload)
     if args.processes and args.ranks is None:
         raise SystemExit("--processes requires --ranks")
-
-    if args.async_io and args.ranks is None:
-        raise SystemExit("--async-io requires --ranks")
-    if args.async_io and args.processes:
-        raise SystemExit("--async-io runs in-process ranks only; drop "
-                         "--processes (the pool already overlaps I/O)")
     if payload_columns and fmt == "tsv":
         raise SystemExit("--payload requires the .npy shard format "
                          "(payload columns live in the shard rows)")
@@ -514,10 +502,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             raise SystemExit("--ranks spills .npy shards; TSV is single-rank only")
         if args.max_edges is not None:
             raise SystemExit("--max-edges applies to single-rank spills only")
-        sink_cls = AsyncShardSink if args.async_io else NpyShardSink
-        sink = sink_cls(args.output, name=product.name,
-                        n_vertices=product.n_vertices,
-                        payload_columns=payload_columns)
+        sink = NpyShardSink(args.output, name=product.name,
+                            n_vertices=product.n_vertices,
+                            payload_columns=payload_columns)
         result = distributed_generate(
             factor_a, factor_b, args.ranks,
             streaming=True, a_edges_per_block=args.block,
@@ -531,10 +518,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                   "(exact per-edge ground truth, evaluated per block)")
         print(f"peak block: {result.max_block_edges:,} edges "
               f"(bound {args.block * factor_b.nnz:,})")
-        if args.async_io:
-            print(f"async writer: {sink.blocks_written:,} blocks, "
-                  f"{sink.writer_busy_s * 1e3:.1f} ms of I/O overlapped "
-                  f"({sink.producer_wait_s * 1e3:.1f} ms back-pressure)")
         report = ValidationAccumulator(factor_a, factor_b,
                                        stats=result.stats).validate(result.total)
         print(report.summary())

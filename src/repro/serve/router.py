@@ -21,8 +21,10 @@ The construction is deliberately thin:
   answers are byte-equal to single-store answers *by construction*.
 * :class:`RangeRouter` is :class:`ShardStoreServer` serving that façade:
   framing, request coalescing, the binary bulk plane, and error frames are
-  inherited unchanged.  Only ``hello`` (adds the fleet description) and
-  ``stats`` (rolls per-worker stats up into a fleet answer) are overridden.
+  inherited unchanged.  Only ``hello`` (adds the fleet description) and the
+  fleet-wide ops are overridden: ``stats`` / ``health`` / ``profile`` /
+  ``events`` / ``trace`` / ``reset_stats`` each ask every worker through
+  one :meth:`FleetStore.broadcast` and merge the answers.
 * :class:`_WorkerChannel` owns one slice's wire connections: a small pool of
   reused clients against the preferred replica, and on a *transport*
   failure (``OSError`` / :class:`~repro.serve.protocol.ProtocolError` —
@@ -83,6 +85,17 @@ def fleet_info_from_manifest(manifest: dict) -> dict:
         "n_shards": len(manifest["shards"]),
         "payload_columns": list(manifest["payload_columns"][2:]),
     }
+
+
+def _given(**args) -> dict:
+    """The request args actually given (``None`` means omitted)."""
+    return {key: value for key, value in args.items() if value is not None}
+
+
+def _contributes_nothing(channel, exc) -> dict:
+    """Rollup error policy: a worker that cannot answer contributes an
+    empty answer, so the merge covers whoever is alive."""
+    return {}
 
 
 class _WorkerChannel:
@@ -320,6 +333,19 @@ class FleetStore(StoreQueryMixin):
                        for channel, fn in calls]
         return [future.result() for future in futures]
 
+    def _scatter_by_owner(self, vs: np.ndarray, fn) -> List:
+        """Split *vs* by owning worker and fan ``fn(client, mask)`` out to
+        every worker that owns at least one vertex (``mask`` selects its
+        share of *vs*); ``(mask, answer)`` pairs in worker order."""
+        owners = self._owners(vs)
+        masks, calls = [], []
+        for index, channel in enumerate(self._channels):
+            mask = owners == index
+            if mask.any():
+                masks.append(mask)
+                calls.append((channel, lambda c, m=mask: fn(c, m)))
+        return list(zip(masks, self._scatter(calls)))
+
     # ------------------------------------------------------------------
     # Batch primitives (split by owner → fan out → merge in source order)
     # ------------------------------------------------------------------
@@ -328,15 +354,8 @@ class FleetStore(StoreQueryMixin):
         out = np.zeros(vs.shape[0], dtype=np.int64)
         if vs.size == 0:
             return out
-        owners = self._owners(vs)
-        calls, masks = [], []
-        for index, channel in enumerate(self._channels):
-            mask = owners == index
-            if mask.any():
-                sub = vs[mask]
-                calls.append((channel, lambda c, sub=sub: c.degrees(sub)))
-                masks.append(mask)
-        for mask, values in zip(masks, self._scatter(calls)):
+        for mask, values in self._scatter_by_owner(
+                vs, lambda c, m: c.degrees(vs[m])):
             out[mask] = values
         return out
 
@@ -347,17 +366,12 @@ class FleetStore(StoreQueryMixin):
         vs = np.unique(self._check_vertices(np.asarray(vs, dtype=np.int64)))
         if vs.size == 0:
             return self._finish_rows([], with_payload)
-        owners = self._owners(vs)
-        calls = []
-        for index, channel in enumerate(self._channels):
-            mask = owners == index
-            if mask.any():
-                sub = vs[mask]
-                calls.append((channel, lambda c, sub=sub, wp=with_payload:
-                              c.edges_for_sources(sub, with_payload=wp)))
         # Ranges are contiguous and each worker answers (src, dst)-sorted,
         # so worker order *is* global source order.
-        parts = [part for part in self._scatter(calls) if part.shape[0]]
+        answers = self._scatter_by_owner(
+            vs, lambda c, m: c.edges_for_sources(vs[m],
+                                                 with_payload=with_payload))
+        parts = [part for _, part in answers if part.shape[0]]
         return self._finish_rows(parts, with_payload)
 
     def edges_in_range(self, lo: int, hi: int, *,
@@ -390,16 +404,9 @@ class FleetStore(StoreQueryMixin):
                        dtype=np.int64)
         if ps.size == 0:
             return out
-        owners = self._owners(ps)  # an edge lives with its source's owner
-        calls, masks = [], []
-        for index, channel in enumerate(self._channels):
-            mask = owners == index
-            if mask.any():
-                sub_ps, sub_qs = ps[mask], qs[mask]
-                calls.append((channel, lambda c, p=sub_ps, q=sub_qs:
-                              c.edge_payloads(p, q)))
-                masks.append(mask)
-        for mask, values in zip(masks, self._scatter(calls)):
+        # An edge lives with its source's owner.
+        for mask, values in self._scatter_by_owner(
+                ps, lambda c, m: c.edge_payloads(ps[m], qs[m])):
             out[mask] = values
         return out
 
@@ -410,29 +417,38 @@ class FleetStore(StoreQueryMixin):
     def n_workers(self) -> int:
         return len(self._channels)
 
+    @property
+    def ranges(self) -> List[tuple]:
+        """Each worker's assigned ``(src_lo, src_hi)``, in worker order."""
+        return [(c.src_lo, c.src_hi) for c in self._channels]
+
     def describe(self) -> dict:
         """The ``fleet`` description shape (ranges, addresses, channel
         counters)."""
         return shaping.fleet_shape(
-            [(c.src_lo, c.src_hi) for c in self._channels],
+            self.ranges,
             [c.addresses for c in self._channels],
             calls=[c.calls for c in self._channels],
             failovers=[c.failovers for c in self._channels])
 
-    def worker_reports(self) -> List[dict]:
-        """One ``stats`` probe per worker, concurrently; a dead worker
-        yields an error report instead of failing the rollup."""
-        def probe(channel):
+    def broadcast(self, op: str, args: Optional[dict] = None, *,
+                  on_error=None) -> List:
+        """Send one *op* request to every worker, concurrently, and return
+        each worker's answer in worker order.
+
+        A worker that fails (the channel's worker-naming
+        :class:`ConnectionError` once its replicas are exhausted, or a
+        server-reported error) propagates unless *on_error* is given: then
+        ``on_error(channel, exc)`` supplies that worker's answer, so a
+        rollup can cover whoever is alive."""
+        def ask(channel):
             try:
-                stats = channel.call(lambda c: c.request("stats"))
-                return shaping.fleet_worker_report(
-                    channel.index, channel.src_lo, channel.src_hi,
-                    stats=stats)
+                return channel.call(lambda c: c.request(op, args))
             except Exception as exc:
-                return shaping.fleet_worker_report(
-                    channel.index, channel.src_lo, channel.src_hi,
-                    error=str(exc))
-        futures = [self._fanout.submit(probe, channel)
+                if on_error is None:
+                    raise
+                return on_error(channel, exc)
+        futures = [self._fanout.submit(ask, channel)
                    for channel in self._channels]
         return [future.result() for future in futures]
 
@@ -440,102 +456,9 @@ class FleetStore(StoreQueryMixin):
         """Fleet-level ``"store"`` counter section (summed worker
         counters) — what :meth:`ShardStoreServer.stats` would embed if it
         served this façade directly."""
-        reports = self.worker_reports()
-        sections = [report["stats"]["store"] for report in reports
-                    if report.get("ok")]
+        answers = self.broadcast("stats", on_error=lambda channel, exc: None)
+        sections = [answer["store"] for answer in answers if answer is not None]
         return shaping.fleet_store_counters(sections, n_shards=self.n_shards)
-
-    def reset_stats(self) -> int:
-        """Fan the ``reset_stats`` op out to every worker (fleet-wide
-        counter reset — e.g. clearing benchmark warmup) and return the
-        worker count for the answer shape.  A dead worker propagates as
-        the usual channel :class:`ConnectionError`."""
-        futures = [
-            self._fanout.submit(
-                channel.call, lambda c: c.request("reset_stats"))
-            for channel in self._channels]
-        for future in futures:
-            future.result()
-        return len(self._channels)
-
-    def collect_profiles(self, action: str,
-                         hz: Optional[float] = None) -> List[ProfileStats]:
-        """Apply one ``profile`` *action* on every worker, concurrently,
-        and return their resulting aggregates.  A worker that cannot
-        answer contributes an empty aggregate rather than failing the
-        merge — the fleet profile covers whoever is alive."""
-        def fetch(channel):
-            args = {"action": action}
-            if hz is not None:
-                args["hz"] = hz
-            try:
-                answer = channel.call(lambda c: c.request("profile", args))
-                return ProfileStats.from_dict(answer.get("profile") or {})
-            except Exception:
-                return ProfileStats()
-        futures = [self._fanout.submit(fetch, channel)
-                   for channel in self._channels]
-        return [future.result() for future in futures]
-
-    def collect_events(self, limit: Optional[int] = None,
-                       kind: Optional[str] = None):
-        """Every worker's flight-recorder tail, concurrently —
-        ``(per-worker event lists, summed drop counter)``.  A dead worker
-        contributes nothing; its events are simply missing from the
-        merged timeline."""
-        def fetch(channel):
-            args = {}
-            if limit is not None:
-                args["limit"] = limit
-            if kind is not None:
-                args["kind"] = kind
-            try:
-                answer = channel.call(lambda c: c.request("events", args))
-                return (list(answer.get("events", ())),
-                        int(answer.get("dropped", 0)))
-            except Exception:
-                return [], 0
-        futures = [self._fanout.submit(fetch, channel)
-                   for channel in self._channels]
-        results = [future.result() for future in futures]
-        return ([events for events, _ in results],
-                sum(dropped for _, dropped in results))
-
-    def health_reports(self) -> List[dict]:
-        """One ``health`` probe per worker, concurrently; a dead worker
-        yields an error report — naming it and its assigned range — and
-        the rollup keeps serving."""
-        def probe(channel):
-            try:
-                health = channel.call(lambda c: c.request("health"))
-                return shaping.fleet_worker_report(
-                    channel.index, channel.src_lo, channel.src_hi,
-                    health=health)
-            except Exception as exc:
-                return shaping.fleet_worker_report(
-                    channel.index, channel.src_lo, channel.src_hi,
-                    error=str(exc))
-        futures = [self._fanout.submit(probe, channel)
-                   for channel in self._channels]
-        return [future.result() for future in futures]
-
-    def collect_trace(self, trace_id: str) -> List[dict]:
-        """Every worker's recorded spans for *trace_id*, concurrently; a
-        worker that cannot answer contributes nothing rather than failing
-        the merge (its spans are simply missing from the tree)."""
-        def fetch(channel):
-            try:
-                answer = channel.call(
-                    lambda c: c.request("trace", {"id": trace_id}))
-                return list(answer.get("spans", ()))
-            except Exception:
-                return []
-        futures = [self._fanout.submit(fetch, channel)
-                   for channel in self._channels]
-        spans: List[dict] = []
-        for future in futures:
-            spans.extend(future.result())
-        return spans
 
     def close(self) -> None:
         self._fanout.shutdown(wait=True)
@@ -558,9 +481,10 @@ class RangeRouter(ShardStoreServer):
     ``trace`` to merge each worker's spans into its own (both do wire I/O
     and therefore run on the executor, never the event loop).  The fleet's
     registry is adopted as the router's, so ``metrics`` serves the
-    ``fleet.worker_*`` series alongside the inherited ``serve.*`` ones,
-    and the inherited ``reset_stats`` fans out to every worker through
-    :meth:`FleetStore.reset_stats`.
+    ``fleet.worker_*`` series alongside the inherited ``serve.*`` ones.
+    Every fleet-wide op (``stats``, ``health``, ``profile``, ``events``,
+    ``trace``, ``reset_stats``) asks all workers through one
+    :meth:`FleetStore.broadcast` and shapes the answers here.
     """
 
     def __init__(self, fleet: FleetStore, **kwargs):
@@ -586,12 +510,31 @@ class RangeRouter(ShardStoreServer):
         return await self._run_store(
             lambda: shaping.stats_answer_shape(self.stats()))
 
+    def _worker_reports(self, op: str) -> List[dict]:
+        """One *op* (``stats`` / ``health``) probe per worker; a dead worker
+        yields an error report naming it and its assigned range instead of
+        failing the rollup."""
+        answers = self.store.broadcast(op, on_error=lambda channel, exc: exc)
+        reports = []
+        for index, ((lo, hi), answer) in enumerate(zip(self.store.ranges,
+                                                       answers)):
+            if isinstance(answer, Exception):
+                reports.append(shaping.fleet_worker_report(
+                    index, lo, hi, error=str(answer)))
+            else:
+                reports.append(shaping.fleet_worker_report(
+                    index, lo, hi, **{op: answer}))
+        return reports
+
     async def _op_trace(self, args: dict) -> dict:
         trace_id = _arg(args, "id")
         if not isinstance(trace_id, str):
             raise ValueError("request arg 'id' must be a string trace id")
-        worker_spans = await self._run_store(
-            lambda: self.store.collect_trace(trace_id))
+        answers = await self._run_store(
+            lambda: self.store.broadcast("trace", {"id": trace_id},
+                                         on_error=_contributes_nothing))
+        worker_spans = [span for answer in answers
+                        for span in answer.get("spans", ())]
         return shaping.trace_answer_shape(
             trace_id, self.recorder.spans(trace_id) + worker_spans)
 
@@ -604,10 +547,13 @@ class RangeRouter(ShardStoreServer):
         ``stop`` every aggregate in the sum is frozen — the merged answer
         equals the router's own profile plus each worker's directly
         fetched snapshot, exactly."""
-        worker_profiles = self.store.collect_profiles(action, hz=hz)
+        answers = self.store.broadcast(
+            "profile", _given(action=action, hz=hz),
+            on_error=_contributes_nothing)
         self._apply_profile_action(action, hz)
         own = self.profiler.snapshot()
-        merged = own + sum(worker_profiles, ProfileStats())
+        merged = own + sum((ProfileStats.from_dict(answer.get("profile") or {})
+                            for answer in answers), ProfileStats())
         return shaping.profile_shape(
             action, merged.as_dict(), running=self.profiler.running,
             hz=self.profiler.hz,
@@ -619,19 +565,22 @@ class RangeRouter(ShardStoreServer):
         return await self._run_store(self._fleet_events, limit, kind)
 
     def _fleet_events(self, limit, kind) -> dict:
-        worker_events, worker_dropped = self.store.collect_events(
-            limit=limit, kind=kind)
+        answers = self.store.broadcast("events", _given(limit=limit, kind=kind),
+                                       on_error=_contributes_nothing)
         own = self.events.tail(limit, kind=kind)
-        merged = merge_events([own, *worker_events], limit=limit)
+        merged = merge_events(
+            [own, *(list(answer.get("events", ())) for answer in answers)],
+            limit=limit)
+        dropped = sum(int(answer.get("dropped", 0)) for answer in answers)
         return shaping.events_shape(
-            merged, dropped=self.events.dropped + worker_dropped,
+            merged, dropped=self.events.dropped + dropped,
             workers=self.store.n_workers)
 
     async def _op_health(self, args: dict) -> dict:
         return await self._run_store(self._fleet_health)
 
     def _fleet_health(self) -> dict:
-        reports = self.store.health_reports()
+        reports = self._worker_reports("health")
         down = [{"worker": report["worker"], "src_lo": report["src_lo"],
                  "src_hi": report["src_hi"], "error": report["error"]}
                 for report in reports if not report.get("ok")]
@@ -640,10 +589,18 @@ class RangeRouter(ShardStoreServer):
             fleet={"workers": self.store.n_workers, "down": len(down)},
             workers=reports, down=down, **self._health_sections())
 
+    def _reset_stats(self) -> int:
+        """Zero the router's series, then every worker's; a dead worker
+        propagates as the channel's worker-naming :class:`ConnectionError`
+        (an error frame).  The worker count rides back on the answer."""
+        self.registry.reset()
+        self.store.broadcast("reset_stats")
+        return self.store.n_workers
+
     def stats(self) -> dict:
         return shaping.fleet_stats_shape(
             self._server_stats(), self.store.describe(),
-            self.store.worker_reports(), n_shards=self.store.n_shards)
+            self._worker_reports("stats"), n_shards=self.store.n_shards)
 
 
 class ThreadedRouter(ThreadedServer):

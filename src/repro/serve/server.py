@@ -841,9 +841,9 @@ class ShardStoreServer:
         return shaping.reset_stats_shape(workers=details)
 
     def _reset_stats(self) -> Optional[int]:
-        """Zero every registry series; a store with its own reset hook (the
-        fleet façade fans the reset out to its workers) runs it too, and
-        its worker count rides back on the answer shape."""
+        """Zero every registry series and the store's own counters.  The
+        range router overrides this to reset every worker as well, and its
+        worker count rides back on the answer shape."""
         self.registry.reset()
         reset_hook = getattr(self.store, "reset_stats", None)
         return reset_hook() if reset_hook is not None else None

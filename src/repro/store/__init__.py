@@ -16,9 +16,6 @@ that spill into a *servable* edge store:
   ``neighbors`` / ``edges_in_range`` / ``egonet`` by binary-searching the
   manifest ranges, with an LRU of decoded shards and batch-first entry
   points per the repo's vectorization conventions;
-* :class:`AsyncShardSink` — drop-in streaming sink whose writer thread
-  overlaps shard I/O with block generation
-  (``distributed_generate(streaming=True, sink=AsyncShardSink(dir))``);
 * :class:`PayloadEvaluator` — named per-edge ground-truth columns
   (``"triangles"``, ``"trussness"``) that ride along in the shards as
   ``(m, 2 + k)`` rows and are served back by :class:`ShardStore`
@@ -26,14 +23,12 @@ that spill into a *servable* edge store:
   closed-form factor statistics.
 """
 
-from repro.store.async_sink import AsyncShardSink
 from repro.store.compaction import MANIFEST_V2, compact_shards
 from repro.store.partition import partition_manifest
 from repro.store.payloads import KNOWN_PAYLOAD_COLUMNS, PayloadEvaluator
 from repro.store.query import ShardStore, StoreQueryMixin
 
 __all__ = [
-    "AsyncShardSink",
     "KNOWN_PAYLOAD_COLUMNS",
     "PayloadEvaluator",
     "ShardStore",

@@ -213,8 +213,8 @@ def compact_shards(
     """Compact a shard directory into a source-sorted, range-indexed store.
 
     Reads any shard directory with a valid manifest (the per-block v1 spill of
-    :class:`repro.graphs.io.NpyShardSink` / ``AsyncShardSink``, or an existing
-    v2 store for re-sharding), merges its rows in ``(src, dst)`` order —
+    :class:`repro.graphs.io.NpyShardSink`, or an existing v2 store for
+    re-sharding), merges its rows in ``(src, dst)`` order —
     payload columns travel with their row, unchanged — cuts them into shards
     of about *target_shard_edges* edges, and writes a **manifest v2** whose
     shard entries record the covered ``[src_min, src_max]`` source-vertex

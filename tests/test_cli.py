@@ -232,31 +232,6 @@ class TestCompactAndQuery:
         with pytest.raises(ValueError, match="compact_shards"):
             cli.main(["query", str(spill), "--degree", "0"])
 
-    def test_stream_async_io(self, bundle_path, tmp_path, capsys):
-        from repro.graphs import read_shard_manifest
-
-        out_dir = tmp_path / "async-shards"
-        rc = cli.main(["stream", str(bundle_path), str(out_dir),
-                       "--ranks", "3", "--block", "16", "--async-io"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "async writer" in out
-        assert "PASS" in out
-        factor_a, factor_b, _ = load_kronecker_bundle(bundle_path)
-        manifest = read_shard_manifest(out_dir)
-        assert manifest["total_edges"] == factor_a.nnz * factor_b.nnz
-
-    def test_async_io_requires_ranks(self, bundle_path, tmp_path):
-        with pytest.raises(SystemExit, match="--ranks"):
-            cli.main(["stream", str(bundle_path), str(tmp_path / "d"),
-                      "--async-io"])
-
-    def test_async_io_rejects_processes(self, bundle_path, tmp_path):
-        with pytest.raises(SystemExit, match="in-process"):
-            cli.main(["stream", str(bundle_path), str(tmp_path / "d"),
-                      "--ranks", "2", "--async-io", "--processes"])
-
-
 class TestPayloadCli:
     @pytest.fixture
     def payload_store_dir(self, bundle_path, tmp_path):

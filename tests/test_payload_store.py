@@ -33,7 +33,6 @@ from repro.graphs import (
 from repro.parallel import distributed_generate
 from repro.store import (
     KNOWN_PAYLOAD_COLUMNS,
-    AsyncShardSink,
     PayloadEvaluator,
     ShardStore,
     compact_shards,
@@ -121,27 +120,6 @@ class TestPayloadSpill:
         with pytest.raises(ValueError, match=r"\(m, 3\)"):
             sink.write(0, 0, np.asarray([[1, 2], [3, 4]], dtype=np.int64))
         sink.write(0, 0, np.asarray([[1, 2, 9]], dtype=np.int64))
-
-    def test_async_sink_rejects_wrong_width_synchronously(self, tmp_path):
-        sink = AsyncShardSink(tmp_path / "s", payload_columns=PAYLOAD)
-        with pytest.raises(ValueError, match=r"\(m, 4\)"):
-            sink.write(0, 0, np.asarray([[1, 2]], dtype=np.int64))
-        sink.finalize()
-
-    def test_async_sink_payload_spill_equivalent(self, tmp_path, payload_spill,
-                                                 product, weblike_small,
-                                                 delta_le_one_factor):
-        sink = AsyncShardSink(tmp_path / "aspill", queue_blocks=3,
-                              n_vertices=product.n_vertices,
-                              payload_columns=PAYLOAD)
-        assert sink.payload_columns == PAYLOAD
-        distributed_generate(weblike_small, delta_le_one_factor, 4,
-                             streaming=True, a_edges_per_block=8, sink=sink,
-                             payload_columns=PAYLOAD)
-        assert (read_shard_manifest(tmp_path / "aspill")["shards"]
-                == read_shard_manifest(payload_spill)["shards"])
-        assert np.array_equal(load_edge_shards(tmp_path / "aspill"),
-                              load_edge_shards(payload_spill))
 
     def test_payload_requires_streaming_sink(self, weblike_small,
                                              delta_le_one_factor):

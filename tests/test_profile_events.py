@@ -164,7 +164,6 @@ class TestProfileStats:
         assert thread_role("shard-serve") == "event_loop"
         assert thread_role("shard-decode_0") == "decode_pool"
         assert thread_role("fleet-fanout_3") == "fanout_pool"
-        assert thread_role("async-shard-writer") == "writer"
         assert thread_role("repro-profiler") == "profiler"
         assert thread_role("MainThread") == "main"
         assert thread_role("ThreadPoolExecutor-9_0") == "other"

@@ -564,6 +564,81 @@ class TestFleetFlightRecorder:
         assert all(r.get("health", {}).get("status") == "ok"
                    for r in health["workers"])
 
+    @pytest.mark.parametrize(
+        "op", ["stats", "profile", "events", "trace", "reset_stats"])
+    def test_broadcast_error_policy_with_a_dead_worker(self, store_factory,
+                                                       local_store, op):
+        """Each worker broadcast's dead-worker policy, pinned: the
+        rollups (``stats`` / ``profile`` / ``events`` / ``trace``) answer
+        from the survivors, and ``reset_stats`` fails as an error frame
+        naming the worker and its range on an intact connection.
+        (``health`` has its own test above.)"""
+        from repro.obs import ProfileStats
+
+        store = store_factory()
+        # One cached shard per worker, so the warmup's reads evict and
+        # every worker has flight-recorder events of its own.
+        with FleetHarness(store, n_slices=3, cache_shards=1) as harness:
+            dead = harness.slices[1]
+            survivors = [harness.workers[0][0], harness.workers[2][0]]
+            recorder = TraceRecorder()
+            with harness.client() as c:
+                if op == "profile":
+                    c.profile("start", hz=500)
+                with trace.start_trace("broadcast", recorder) as t:
+                    c.degrees(np.arange(0, local_store.n_vertices, 3))
+                harness.kill(1)
+
+                if op == "stats":
+                    stats = c.stats()
+                    reports = {r["worker"]: r for r in stats["workers"]}
+                    assert not reports[1]["ok"] and reports[1]["error"]
+                    assert (reports[1]["src_lo"], reports[1]["src_hi"]) == (
+                        dead["src_lo"], dead["src_hi"])
+                    alive = [reports[0]["stats"]["store"],
+                             reports[2]["stats"]["store"]]
+                    assert stats["store"]["workers"] == 2
+                    assert stats["store"]["shard_reads"] == sum(
+                        s["shard_reads"] for s in alive) > 0
+                elif op == "profile":
+                    answer = c.profile("stop")
+                    assert answer["workers"] == 3
+                    expected = ProfileStats.from_dict(answer["router"])
+                    for worker in survivors:
+                        with QueryClient(worker.host, worker.port) as direct:
+                            expected += ProfileStats.from_dict(
+                                direct.profile()["profile"])
+                    assert ProfileStats.from_dict(answer["profile"]) == expected
+                elif op == "events":
+                    answer = c.events()
+                    assert answer["workers"] == 3
+                    for worker in survivors:
+                        with QueryClient(worker.host, worker.port) as direct:
+                            own = direct.events()["events"]
+                        assert own
+                        assert all(event in answer["events"] for event in own)
+                elif op == "trace":
+                    spans = c.trace_spans(t.trace_id)
+                    expected = {s["span"] for s in
+                                harness.router.server.recorder.spans(
+                                    t.trace_id)}
+                    for worker in survivors:
+                        with QueryClient(worker.host, worker.port) as direct:
+                            own = direct.trace_spans(t.trace_id)
+                        assert own
+                        expected |= {s["span"] for s in own}
+                    assert {s["span"] for s in spans} == expected
+                else:
+                    with pytest.raises(ServerError, match=(
+                            rf"worker 1 \(sources \[{dead['src_lo']}, "
+                            rf"{dead['src_hi']}\)\) is unavailable")):
+                        c.reset_stats()
+
+                # Whatever the policy, the connection survives it.
+                vs = np.arange(0, dead["src_lo"], 4)
+                assert np.array_equal(c.degrees(vs), local_store.degrees(vs))
+                assert c.connection_stats()["connects"] == 1
+
 
 # ----------------------------------------------------------------------
 # CLI: serve --fleet and query --connect routing transparency
